@@ -58,8 +58,14 @@ bench-json:
 	$(GO) run ./cmd/benchjson -label $(LABEL) -o $(BENCH_OUT)
 	$(GO) run ./cmd/benchjson -validate $(BENCH_OUT)
 
-# fuzz smoke-tests the spec-string grammar: no panics, normalized names are
-# fixed points. Each target gets a short budget; CI runs the same.
+# fuzz smoke-tests the spec-string grammar (no panics, normalized names are
+# fixed points) and the decoders of bytes read from the store (no panics,
+# whatever decodes re-encodes to the same bytes). Each target gets a short
+# budget; CI runs the same. The store decoders' seeds are real records of a
+# few KB, and minimizing each newly interesting input of that size would
+# otherwise take the whole budget, so minimization is capped.
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzByName -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSpecNormalize -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzResultCodec -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzStoreDecode -fuzztime 10s -fuzzminimizetime 1s

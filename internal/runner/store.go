@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"encoding/json"
 	"errors"
 
 	"divlab/internal/sim"
@@ -73,7 +72,9 @@ func persistable(k Key) bool { return !k.Trace }
 
 // storeGet looks k up in the persistent tier; want is the expected result
 // count (1, or Cores for a mix). Anything other than a clean decode of a
-// record that matches k's canonical text is a miss.
+// record that matches k's canonical text is a miss: sim.DecodeResults
+// accepts only the canonical bytes AppendResults writes, so a null element
+// or any other non-canonical payload is a counted error, never a nil result.
 func (e *Engine) storeGet(k Key, want int) ([]*sim.Result, bool) {
 	st := e.getStore()
 	if st == nil || !persistable(k) {
@@ -93,8 +94,8 @@ func (e *Engine) storeGet(k Key, want int) ([]*sim.Result, bool) {
 		e.storeErrs.Add(1)
 		return nil, false
 	}
-	var rs []*sim.Result
-	if err := json.Unmarshal(rec.Payload, &rs); err != nil || len(rs) != want {
+	rs, err := sim.DecodeResults(rec.Payload)
+	if err != nil || len(rs) != want {
 		e.storeErrs.Add(1)
 		return nil, false
 	}
@@ -110,7 +111,7 @@ func (e *Engine) storePut(k Key, rs []*sim.Result) {
 	if st == nil || !persistable(k) {
 		return
 	}
-	payload, err := json.Marshal(rs)
+	payload, err := sim.AppendResults(nil, rs)
 	if err != nil {
 		e.storeErrs.Add(1)
 		return

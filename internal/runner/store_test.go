@@ -166,6 +166,43 @@ func TestStoreKeyMismatchIsMiss(t *testing.T) {
 	}
 }
 
+// TestStoreNonCanonicalPayloadIsMiss: a CRC-valid record whose payload is
+// not the canonical encoding of the key's results — a null element, an empty
+// object, reformatted JSON — is a counted error and a re-simulation, never a
+// hit that hands back a nil or partial result.
+func TestStoreNonCanonicalPayloadIsMiss(t *testing.T) {
+	j := testJob(t, "stream.pure", "tpc", 15_000)
+	k, _ := KeyOf(j)
+	good, err := sim.AppendResults(nil, []*sim.Result{sim.RunSingle(j.Workload, j.Prefetcher.Factory, j.Config)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, payload := range map[string]string{
+		"null element": `[null]`,
+		"empty object": `[{}]`,
+		"empty array":  `[]`,
+		"indented":     strings.Replace(string(good), `{"core":`, `{ "core": `, 1),
+	} {
+		st := store.NewMem()
+		if err := st.Put(&store.Record{Schema: store.SchemaVersion, Digest: k.Digest(),
+			Key: k.Canonical(), Kind: store.KindResults, Payload: []byte(payload)}); err != nil {
+			t.Fatal(err)
+		}
+		e := New(WithStore(st))
+		res := e.Run(context.Background(), []Job{j})
+		if len(res) != 1 || res[0] == nil {
+			t.Fatalf("%s: Run returned %v, want one simulated result", name, res)
+		}
+		_ = res[0].IPC()
+		if s := e.StoreStats(); s.Hits != 0 || s.Errs != 1 || s.Puts != 1 {
+			t.Errorf("%s: stats %+v, want 0 hits / 1 err / 1 put", name, s)
+		}
+		if e.Sims() != 1 {
+			t.Errorf("%s: sims=%d, want 1 (re-simulated)", name, e.Sims())
+		}
+	}
+}
+
 // TestStoreSkipsTracedRuns: lifecycle-traced results cannot serialize, so
 // they stay in the memo tier only.
 func TestStoreSkipsTracedRuns(t *testing.T) {

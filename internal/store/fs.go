@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"time"
 )
 
@@ -127,10 +128,13 @@ type leaseFile struct {
 	Expires int64  `json:"expires_unix_ns"`
 }
 
-// TryLease implements Store. The lockfile is created with O_EXCL; an
-// existing, unexpired lease loses the race. An expired lease is broken by
-// atomically renaming it aside — of several processes racing to break the
-// same stale lock, rename succeeds for exactly one — before re-creating.
+// TryLease implements Store. The lease body is staged in tmp/ and published
+// with a hard link, which fails when the lockfile exists: a lockfile is
+// either absent or complete, so no reader ever sees a half-written lease.
+// An expired (or unreadable) lease is broken under the store's lease guard,
+// an exclusive flock that breakers and releasers take, so a breaker that
+// read a stale body can never remove the fresh lease of the process that
+// broke it first.
 func (s *FS) TryLease(name string, ttl time.Duration) (func() error, bool, error) {
 	if strings.ContainsAny(name, "/\\ \t\n") {
 		return nil, false, fmt.Errorf("store: lease name %q is not filesystem-safe", name)
@@ -144,58 +148,81 @@ func (s *FS) TryLease(name string, ttl time.Duration) (func() error, bool, error
 	if err != nil {
 		return nil, false, err
 	}
+	staged := filepath.Join(s.root, "tmp", "lease-"+token)
+	if err := os.WriteFile(staged, body, 0o644); err != nil {
+		return nil, false, fmt.Errorf("store: stage lease %s: %w", name, err)
+	}
+	defer os.Remove(staged)
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := os.Link(staged, path)
 		if err == nil {
-			_, werr := f.Write(body)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				os.Remove(path)
-				return nil, false, fmt.Errorf("store: write lease %s: %w", name, werr)
-			}
 			return func() error { return s.releaseLease(path, token) }, true, nil
 		}
 		if !errors.Is(err, fs.ErrExist) {
 			return nil, false, fmt.Errorf("store: lease %s: %w", name, err)
 		}
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			if errors.Is(rerr, fs.ErrNotExist) {
-				continue // released between our create and read; retry
+		if data, err := os.ReadFile(path); err == nil && s.fresh(data) {
+			return nil, false, nil
+		}
+		// Stale (or unreadable) lease: break it under the guard, then retry
+		// the link; of several breakers, at most one acquires. The lockfile
+		// is removed only when it is read under the guard and found stale:
+		// while it exists no link can replace it, and only guard holders
+		// remove it.
+		err = s.withLeaseGuard(func() error {
+			data, err := os.ReadFile(path)
+			if errors.Is(err, fs.ErrNotExist) || err == nil && s.fresh(data) {
+				return nil // broken, or broken and re-acquired, by someone else
 			}
-			return nil, false, fmt.Errorf("store: lease %s: %w", name, rerr)
-		}
-		var lf leaseFile
-		if json.Unmarshal(data, &lf) == nil && s.now().UnixNano() < lf.Expires {
-			return nil, false, nil // held and fresh
-		}
-		// Stale (or unreadable) lease: break it by renaming aside. Exactly
-		// one breaker wins the rename; everyone retries the exclusive create
-		// and at most one acquires.
-		aside := filepath.Join(s.root, "tmp", fmt.Sprintf("stale-%s-%s.lock", name, token))
-		if os.Rename(path, aside) == nil {
-			os.Remove(aside)
+			if err != nil {
+				return err
+			}
+			return os.Remove(path)
+		})
+		if err != nil {
+			return nil, false, fmt.Errorf("store: break lease %s: %w", name, err)
 		}
 	}
 	return nil, false, nil
 }
 
-// releaseLease removes the lockfile iff we still own it (an expired lease
-// may have been broken and re-acquired by another process; removing theirs
-// would double-grant the next acquire).
-func (s *FS) releaseLease(path, token string) error {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
+// fresh reports whether a lockfile body holds an unexpired lease.
+func (s *FS) fresh(body []byte) bool {
+	var lf leaseFile
+	return json.Unmarshal(body, &lf) == nil && s.now().UnixNano() < lf.Expires
+}
+
+// withLeaseGuard runs fn holding the exclusive flock on leases/.guard.
+// Closing the file releases the lock.
+func (s *FS) withLeaseGuard(fn func() error) error {
+	g, err := os.OpenFile(filepath.Join(s.root, "leases", ".guard"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return err
 	}
-	var lf leaseFile
-	if json.Unmarshal(data, &lf) == nil && lf.Owner != token {
-		return nil // stolen after expiry; not ours to remove
+	defer g.Close()
+	if err := syscall.Flock(int(g.Fd()), syscall.LOCK_EX); err != nil {
+		return err
 	}
-	return os.Remove(path)
+	return fn()
+}
+
+// releaseLease removes the lockfile iff we still own it (an expired lease
+// may have been broken and re-acquired by another process; removing theirs
+// would double-grant the next acquire). It holds the lease guard, so no
+// breaker can swap the lockfile between the ownership check and the remove.
+func (s *FS) releaseLease(path, token string) error {
+	return s.withLeaseGuard(func() error {
+		data, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		var lf leaseFile
+		if json.Unmarshal(data, &lf) != nil || lf.Owner != token {
+			return nil // stolen after expiry; not ours to remove
+		}
+		return os.Remove(path)
+	})
 }

@@ -19,12 +19,15 @@
 package store
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"strings"
 	"time"
+	"unicode/utf8"
+
+	"divlab/internal/cjson"
 )
 
 // SchemaVersion identifies the record envelope. Bump it on any incompatible
@@ -44,21 +47,28 @@ const (
 )
 
 // Record is one stored artifact: the envelope around a validated payload.
+// Its body on disk is the JSON object
+//
+//	{"schema":...,"digest":...,"key":...,"kind":...,"payload":...}
+//
+// in that field order with no whitespace, the payload copied verbatim.
 type Record struct {
-	Schema string `json:"schema"`
+	Schema string
 	// Digest is the content address — the versioned hash of the canonical
 	// key description below. Get(digest) must return a record whose Digest
 	// field matches, or corrupt.
-	Digest string `json:"digest"`
+	Digest string
 	// Key is the canonical, human-readable description of what the digest
 	// hashes (e.g. runner.Key.Canonical()). Readers compare it against their
 	// own canonical form, so a digest-version bump or a (vanishingly
 	// unlikely) hash collision reads as a miss, never as a wrong result.
-	Key string `json:"key"`
+	Key string
 	// Kind discriminates the payload decoder (KindResults, KindSweepPoint).
-	Kind string `json:"kind"`
-	// Payload is the wrapped artifact, stored verbatim.
-	Payload json.RawMessage `json:"payload"`
+	Kind string
+	// Payload is the wrapped artifact, stored verbatim: the canonical JSON
+	// its kind's encoder writes. The store bounds it but never parses it;
+	// readers decode it with their kind's strict decoder.
+	Payload []byte
 }
 
 // Validate checks the envelope invariants before a Put.
@@ -74,6 +84,11 @@ func (r *Record) Validate() error {
 	}
 	if r.Kind == "" {
 		return errors.New("store: record has no kind")
+	}
+	for _, f := range []string{r.Schema, r.Digest, r.Key, r.Kind} {
+		if !utf8.ValidString(f) {
+			return fmt.Errorf("store: envelope field %q is not valid UTF-8", f)
+		}
 	}
 	if len(r.Payload) == 0 {
 		return errors.New("store: record has no payload")
@@ -122,51 +137,64 @@ type Store interface {
 	TryLease(name string, ttl time.Duration) (release func() error, ok bool, err error)
 }
 
+// headerFormat is the record's header line: schema, body length and the
+// body's CRC32-C.
+const headerFormat = "%s len=%d crc32c=%08x"
+
 // crcTable is the Castagnoli polynomial, the conventional choice for storage
 // checksums (hardware-accelerated on common platforms).
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Encode frames a record for storage: a one-line header carrying the schema,
-// the body length and a CRC32-C over the body, followed by the JSON body.
-// The header guards the body, so any truncation or corruption of either is
-// detected on decode.
+// Encode frames a record for storage: a one-line header
+//
+//	divlab.store/v1 len=<body length> crc32c=<CRC32-C of the body, 8 lowercase hex>
+//
+// followed by the JSON body. The header guards the body, so any truncation
+// or corruption of either is detected on decode. The bytes are those
+// encoding/json's Marshal wrote for the envelope, so stores written before
+// and after the hand-built envelope read the same.
 func Encode(rec *Record) ([]byte, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode record %s: %w", rec.Digest, err)
-	}
-	header := fmt.Sprintf("%s len=%d crc32c=%08x\n", SchemaVersion, len(body), crc32.Checksum(body, crcTable))
-	return append([]byte(header), body...), nil
+	head := cjson.AppendString(append([]byte(nil), `{"schema":`...), rec.Schema)
+	head = cjson.AppendString(append(head, `,"digest":`...), rec.Digest)
+	head = cjson.AppendString(append(head, `,"key":`...), rec.Key)
+	head = cjson.AppendString(append(head, `,"kind":`...), rec.Kind)
+	head = append(head, `,"payload":`...)
+	crc := crc32.Update(crc32.Update(crc32.Checksum(head, crcTable), crcTable, rec.Payload), crcTable, []byte{'}'})
+	header := fmt.Sprintf(headerFormat+"\n", SchemaVersion, len(head)+len(rec.Payload)+1, crc)
+	out := make([]byte, 0, len(header)+len(head)+len(rec.Payload)+1)
+	out = append(append(append(append(out, header...), head...), rec.Payload...), '}')
+	return out, nil
 }
 
 // Decode parses a framed record, verifying the header, length and CRC. The
 // digest parameter is the address the record was fetched under; a mismatch
-// with the envelope's own digest is corruption.
+// with the envelope's own digest is corruption. Only the exact bytes Encode
+// writes are accepted. The returned Payload aliases data.
 func Decode(digest string, data []byte) (*Record, error) {
 	corrupt := func(format string, args ...interface{}) error {
 		return &CorruptError{Digest: digest, Reason: fmt.Sprintf(format, args...)}
 	}
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
+	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, corrupt("no header line (truncated at %d bytes)", len(data))
 	}
+	line := string(data[:nl])
 	var n int
 	var crc uint32
 	var schema string
-	if _, err := fmt.Sscanf(string(data[:nl]), "%s len=%d crc32c=%x", &schema, &n, &crc); err != nil {
-		return nil, corrupt("unparseable header %q", string(data[:nl]))
+	if _, err := fmt.Sscanf(line, "%s len=%d crc32c=%x", &schema, &n, &crc); err != nil {
+		return nil, corrupt("unparseable header %q", line)
 	}
 	if schema != SchemaVersion {
 		return nil, corrupt("schema %q, want %q", schema, SchemaVersion)
+	}
+	// Sscanf tolerates trailing input, signs, leading zeros and uppercase
+	// hex; only the exact line Encode writes is accepted.
+	if fmt.Sprintf(headerFormat, schema, n, crc) != line {
+		return nil, corrupt("non-canonical header %q", line)
 	}
 	body := data[nl+1:]
 	if len(body) != n {
@@ -176,9 +204,23 @@ func Decode(digest string, data []byte) (*Record, error) {
 		return nil, corrupt("crc32c %08x, header says %08x", got, crc)
 	}
 	var rec Record
-	if err := json.Unmarshal(body, &rec); err != nil {
-		return nil, corrupt("undecodable body: %v", err)
+	d := cjson.NewDecoder(body)
+	d.Lit(`{"schema":`)
+	rec.Schema = d.Str()
+	d.Lit(`,"digest":`)
+	rec.Digest = d.Str()
+	d.Lit(`,"key":`)
+	rec.Key = d.Str()
+	d.Lit(`,"kind":`)
+	rec.Kind = d.Str()
+	d.Lit(`,"payload":`)
+	if err := d.Err(); err != nil {
+		return nil, corrupt("undecodable envelope: %v", err)
 	}
+	if body[len(body)-1] != '}' {
+		return nil, corrupt("envelope does not end the body")
+	}
+	rec.Payload = body[d.Pos() : len(body)-1]
 	if err := rec.Validate(); err != nil {
 		return nil, corrupt("invalid envelope: %v", err)
 	}
