@@ -16,8 +16,8 @@ vet:
 
 # lint runs go vet plus the project's own analyzers (determinism,
 # specstring, conservation, sinkerr, the flow-sensitive isolation and
-# lineaddr checks, the summary-based hotalloc and ctxlease checks, and the
-# static race pair sharedmut + wgdiscipline).
+# lineaddr checks, and the call-graph hotalloc check). Concurrency is
+# checked dynamically, by race and race-stress.
 # The tree must stay at zero findings; suppress a justified exception with
 # //lint:allow <analyzer> -- <reason>; `divlint -audit` reports stale ones.
 lint: vet
@@ -38,11 +38,13 @@ race:
 	$(GO) test -race ./...
 
 # race-stress repeats the concurrent-layer tests under the race detector at
-# two scheduler widths — the dynamic complement to the static race pair.
+# two scheduler widths, then repeats the lease tests, whose multi-process
+# case re-executes the test binary as contending processes on one store.
 # CI runs the same matrix.
 race-stress:
 	GOMAXPROCS=2 $(GO) test -race -count=3 ./internal/runner/... ./internal/store/... ./internal/sweep/... ./internal/obs/...
 	GOMAXPROCS=8 $(GO) test -race -count=3 ./internal/runner/... ./internal/store/... ./internal/sweep/... ./internal/obs/...
+	$(GO) test -race -count=20 -run Lease ./internal/store/
 
 # bench runs every benchmark at a steady-state budget with allocation
 # reporting; -benchtime 1x hid both warmup effects and the alloc columns.

@@ -1,8 +1,7 @@
 // Command divlint runs the project's static-analysis suite: the mechanical
 // enforcement of the simulator's determinism, spec-string, conservation,
-// sink-error, run-isolation, line-address, hot-path-allocation,
-// context/lease-discipline, shared-mutation and WaitGroup-discipline
-// contracts — ten analyzers in all (see internal/analysis/... and README
+// sink-error, run-isolation, line-address and hot-path-allocation
+// contracts — seven analyzers in all (see internal/analysis/... and README
 // "Correctness contracts").
 //
 //	divlint ./...                     lint the whole module
@@ -34,11 +33,10 @@
 // CI's lint-strict job runs with -timing under a hard wall-clock budget so
 // a pathological analyzer slowdown fails loudly instead of creeping.
 //
-// The isolation, lineaddr, hotalloc, ctxlease, sharedmut and wgdiscipline
-// analyzers are whole-program: they need the full package set for call-graph reachability
-// and dataflow summaries, so this pattern driver is their authoritative
-// harness. Under `go vet -vettool` they see one package at a time and only
-// intra-package call edges.
+// The isolation, lineaddr and hotalloc analyzers are whole-program: they
+// need the full package set for call-graph reachability, so this pattern
+// driver is their authoritative harness. Under `go vet -vettool` they see
+// one package at a time and only intra-package call edges.
 package main
 
 import (
@@ -51,7 +49,7 @@ import (
 	"divlab/internal/analysis/divlint"
 )
 
-const version = "v1.3.0"
+const version = "v2.0.0"
 
 // jsonFinding is the -json wire form of one finding.
 type jsonFinding struct {

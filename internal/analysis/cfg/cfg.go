@@ -22,27 +22,10 @@ import "go/ast"
 // Block is one basic block: a maximal run of leaf statements with a single
 // entry at the top, plus the successor edges out of its end.
 type Block struct {
-	// Index is the block's position in Graph.Blocks (stable across builds of
-	// the same function; useful in tests and debug output).
-	Index int
 	// Stmts are the leaf statements in execution order.
 	Stmts []ast.Stmt
 	// Succs are the possible successor blocks, in source order.
 	Succs []*Block
-	// Branch, when non-nil, records that the block is the then- or
-	// else-branch of an if statement: it is only entered when Cond evaluated
-	// to Taken. Join blocks carry no annotation (they merge both outcomes).
-	// Path-sensitive refinements (the ctxlease must-release walk) use this to
-	// recognize guard shapes like `if !ok { return }`; everything else may
-	// ignore it.
-	Branch *BranchInfo
-}
-
-// BranchInfo is one if-branch fact: entering the annotated block implies the
-// condition's value.
-type BranchInfo struct {
-	Cond  ast.Expr
-	Taken bool
 }
 
 // Graph is the control-flow graph of one function body.
@@ -80,18 +63,6 @@ func (g *Graph) Live() map[*Block]bool {
 	return live
 }
 
-// LiveStmts returns every leaf statement that lies on some path from the
-// function entry — the statements a flow-sensitive analyzer must inspect.
-func (g *Graph) LiveStmts() map[ast.Stmt]bool {
-	out := map[ast.Stmt]bool{}
-	for blk := range g.Live() {
-		for _, s := range blk.Stmts {
-			out[s] = true
-		}
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Construction.
 
@@ -114,7 +85,7 @@ type builder struct {
 }
 
 func (b *builder) newBlock() *Block {
-	blk := &Block{Index: len(b.g.Blocks)}
+	blk := &Block{}
 	b.g.Blocks = append(b.g.Blocks, blk)
 	return blk
 }
@@ -175,16 +146,12 @@ func (b *builder) stmt(s ast.Stmt) {
 		cond := b.cur
 		after := b.newBlock()
 		b.cur = cond
-		thenB := b.startBlock()
-		thenB.Branch = &BranchInfo{Cond: s.Cond, Taken: true}
-		b.cur = thenB
+		b.cur = b.startBlock()
 		b.stmtList(s.Body.List)
 		b.edge(b.cur, after)
 		if s.Else != nil {
 			b.cur = cond
-			elseB := b.startBlock()
-			elseB.Branch = &BranchInfo{Cond: s.Cond, Taken: false}
-			b.cur = elseB
+			b.cur = b.startBlock()
 			b.stmt(s.Else)
 			b.edge(b.cur, after)
 		} else {

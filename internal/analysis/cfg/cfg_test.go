@@ -9,6 +9,17 @@ import (
 	"testing"
 )
 
+// liveStmts returns every leaf statement in a block reachable from the entry.
+func liveStmts(g *Graph) map[ast.Stmt]bool {
+	out := map[ast.Stmt]bool{}
+	for blk := range g.Live() {
+		for _, s := range blk.Stmts {
+			out[s] = true
+		}
+	}
+	return out
+}
+
 // liveAssignments parses src as a function body, builds the CFG and returns
 // the set of variables assigned in live leaf statements — a compact way to
 // assert which writes survive flow analysis.
@@ -23,7 +34,7 @@ func liveAssignments(t *testing.T, body string) map[string]bool {
 	fn := f.Decls[0].(*ast.FuncDecl)
 	g := New(fn.Body)
 	out := map[string]bool{}
-	for s := range g.LiveStmts() {
+	for s := range liveStmts(g) {
 		switch s := s.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range s.Lhs {
@@ -290,7 +301,7 @@ func TestNilBody(t *testing.T) {
 	if g.Entry == nil || len(g.Blocks) != 1 {
 		t.Fatalf("nil body: entry=%v blocks=%d", g.Entry, len(g.Blocks))
 	}
-	if n := len(g.LiveStmts()); n != 0 {
+	if n := len(liveStmts(g)); n != 0 {
 		t.Errorf("nil body has %d live statements", n)
 	}
 }

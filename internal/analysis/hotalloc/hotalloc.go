@@ -111,7 +111,7 @@ type reachFact struct {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	prog := pass.Program
-	rf := prog.Fact(nil, "hotalloc.reach", func() interface{} {
+	rf := prog.Fact("hotalloc.reach", func() interface{} {
 		g := prog.Callgraph()
 		reached, from := g.Reachable(entries(prog, g))
 		return &reachFact{reached: reached, from: from}

@@ -29,8 +29,7 @@ func (f Finding) String() string {
 
 // Timing is one analyzer's wall-clock across every package it ran on.
 // Shared work an analyzer triggers lazily through the Program fact cache
-// (call graph, dataflow summaries, goroutine topology) is billed to the
-// first analyzer that asks for it — the timings are attribution for a
+// (the call graph, reachability sets) is billed to the first analyzer that asks for it — the timings are attribution for a
 // budget, not a microbenchmark.
 type Timing struct {
 	Analyzer string

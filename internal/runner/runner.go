@@ -231,15 +231,6 @@ func (j Job) Results() int {
 	return normalize(j.Config, true).Cores
 }
 
-// MultiJob is one multicore (4-app mix) simulation request.
-//
-// Deprecated: set Job.Mix and use Engine.Run.
-type MultiJob struct {
-	Mix        workloads.Mix
-	Prefetcher sim.Named
-	Config     sim.Config
-}
-
 // normalize applies sim's own defaulting so equivalent configs share a key.
 func normalize(cfg sim.Config, multi bool) sim.Config {
 	if multi {
@@ -427,19 +418,6 @@ func (e *Engine) runMulti(j Job) []*sim.Result {
 	return ent.multi
 }
 
-// Single runs (or returns the memoized result of) one single-core job.
-//
-// Deprecated: use Engine.Run.
-func (e *Engine) Single(j Job) *sim.Result { return e.runSingle(j) }
-
-// Multi runs (or returns the memoized result of) one multicore job. The
-// returned slice and its results are shared — read-only.
-//
-// Deprecated: set Job.Mix and use Engine.Run.
-func (e *Engine) Multi(j MultiJob) []*sim.Result {
-	return e.runMulti(Job{Mix: j.Mix, Prefetcher: j.Prefetcher, Config: j.Config})
-}
-
 // mixInstances returns per-core replay cursors for a mix's apps (nil slots
 // where recording is over budget; RunMultiOn then builds those live).
 func (e *Engine) mixInstances(mix workloads.Mix, cfg sim.Config) []workloads.Instance {
@@ -475,33 +453,6 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []*sim.Result {
 			out[offs[i]] = e.runSingle(j)
 		}
 	})
-	return out
-}
-
-// RunBatch executes the jobs on the pool and returns results in job order.
-// Duplicate keys within a batch simulate once.
-//
-// Deprecated: use Engine.Run.
-func (e *Engine) RunBatch(jobs []Job) []*sim.Result {
-	return e.Run(context.Background(), jobs)
-}
-
-// RunMultiBatch is RunBatch for multicore jobs.
-//
-// Deprecated: set Job.Mix and use Engine.Run.
-func (e *Engine) RunMultiBatch(jobs []MultiJob) [][]*sim.Result {
-	flat := make([]Job, len(jobs))
-	for i, j := range jobs {
-		flat[i] = Job{Mix: j.Mix, Prefetcher: j.Prefetcher, Config: j.Config}
-	}
-	res := e.Run(context.Background(), flat)
-	out := make([][]*sim.Result, len(jobs))
-	off := 0
-	for i := range flat {
-		n := flat[i].Results()
-		out[i] = res[off : off+n]
-		off += n
-	}
 	return out
 }
 

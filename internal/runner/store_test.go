@@ -110,13 +110,13 @@ func TestStoreReadThroughWriteBehind(t *testing.T) {
 func TestStoreCorruptRecordFallsBack(t *testing.T) {
 	st := store.NewMem()
 	j := testJob(t, "stream.pure", "tpc", 15_000)
-	New(WithStore(st)).Single(j)
+	runOne(New(WithStore(st)), j)
 
 	k, _ := KeyOf(j)
 	st.Corrupt(k.Digest(), func(b []byte) []byte { b[len(b)-2] ^= 1; return b })
 
 	e := New(WithStore(st))
-	if r := e.Single(j); r == nil {
+	if r := runOne(e, j); r == nil {
 		t.Fatal("corrupt store record must fall back to simulation")
 	}
 	s := e.StoreStats()
@@ -129,7 +129,7 @@ func TestStoreCorruptRecordFallsBack(t *testing.T) {
 
 	// The overwrite repaired the record: a third engine hits cleanly.
 	third := New(WithStore(st))
-	third.Single(j)
+	runOne(third, j)
 	if s := third.StoreStats(); s.Hits != 1 || s.Errs != 0 {
 		t.Errorf("after repair: stats %+v, want a clean hit", s)
 	}
@@ -156,7 +156,7 @@ func TestStoreKeyMismatchIsMiss(t *testing.T) {
 	}
 
 	e := New(WithStore(st))
-	e.Single(j)
+	runOne(e, j)
 	s := e.StoreStats()
 	if s.Hits != 0 || s.Errs != 1 {
 		t.Errorf("stats %+v: mismatched key must be a counted miss, not a hit", s)
@@ -210,7 +210,7 @@ func TestStoreSkipsTracedRuns(t *testing.T) {
 	j := testJob(t, "stream.pure", "tpc", 15_000)
 	j.Config.TraceLifecycle = true
 	e := New(WithStore(st))
-	if r := e.Single(j); r.Lifecycle == nil {
+	if r := runOne(e, j); r.Lifecycle == nil {
 		t.Fatal("traced run lost its lifecycle")
 	}
 	if s := e.StoreStats(); s.Puts != 0 || s.Errs != 0 {
@@ -245,8 +245,9 @@ func TestRunFlattensMixes(t *testing.T) {
 			t.Fatalf("result %d is nil", i)
 		}
 	}
-	// Slots 1..4 are the mix cores; they must match the deprecated path.
-	multi := e.Multi(MultiJob{Mix: mix, Prefetcher: sim.Baseline(), Config: cfg})
+	// Slots 1..4 are the mix cores; they must be the memoized results a
+	// batch holding only the mix job sees.
+	multi := e.Run(context.Background(), jobs[1:2])
 	for i := 0; i < 4; i++ {
 		if res[1+i] != multi[i] {
 			t.Errorf("mix core %d not shared with the memoized multi result", i)
