@@ -37,6 +37,12 @@ func TestRunAllMatchesSeedGolden(t *testing.T) {
 	if err := exp.RunAll(exp.TextSink(&got), o); err != nil {
 		t.Fatal(err)
 	}
+	// Each distinct point is simulated once: footprint-off jobs whose
+	// footprint-on twin ran earlier are answered from it. The count is the
+	// same at any worker count, because no batch mixes the two.
+	if sims := o.Engine.Sims(); sims != 1051 {
+		t.Errorf("quick -exp all ran %d simulations, want 1051", sims)
+	}
 	if !bytes.Equal(got.Bytes(), want) {
 		diffAt := len(want)
 		for i := 0; i < len(want) && i < got.Len(); i++ {

@@ -3,14 +3,15 @@
 // one entry point — Engine.Run(ctx, jobs) — plus a two-tier result cache.
 // The in-process memo tier guarantees the same (workload, prefetcher,
 // config) point is simulated exactly once per process no matter how many
-// experiments ask for it; an optional persistent tier (SetStore) extends
-// that guarantee across processes, answering repeat points from disk by
-// their Key.Digest content address. Every simulation is a pure function of
-// its key — workload instances, the memory system and all per-run state are
-// constructed fresh inside sim — so results are shared by pointer and must
-// be treated as read-only by consumers (the metrics layer already is); that
-// same purity is what makes a persisted result byte-equivalent to a fresh
-// simulation.
+// experiments ask for it, and answers a footprint-off point from its
+// footprint-on twin without simulating; an optional persistent tier
+// (SetStore) extends that guarantee across processes, answering repeat
+// points from disk by their Key.Digest content address. Every simulation
+// is a pure function of its key — workload instances, the memory system
+// and all per-run state are constructed fresh inside sim — so results are
+// shared by pointer and must be treated as read-only by consumers (the
+// metrics layer already is); that same purity is what makes a persisted
+// result byte-equivalent to a fresh simulation.
 //
 // Determinism: batch results are returned in job order regardless of
 // completion order, and each run's randomness is derived from its seed, so a
@@ -22,6 +23,7 @@ import (
 	"context"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -60,11 +62,16 @@ type Key struct {
 	Insts      uint64
 	Cores      int
 	Drop       dram.DropPolicy
-	Footprint  bool
-	UseBPred   bool
+	// Footprint is a superset flag: a footprint-on run only records the
+	// per-line maps on top of the footprint-off run, so a single-core
+	// footprint-off key is answered from its footprint-on twin (see
+	// fromTwin) when the twin is cached or in flight.
+	Footprint bool
+	UseBPred  bool
 	// Trace marks lifecycle-traced runs: they are deterministic and
-	// cacheable, but must not share results with untraced runs (their
-	// Result carries the extra counters).
+	// cacheable, but must not share results with untraced runs in either
+	// direction (their Result carries the extra counters). Unlike
+	// Footprint, it is not a superset flag.
 	Trace   bool
 	DestTag string // names a DestOverride policy; "" means none
 	Params  coreKey
@@ -178,7 +185,7 @@ func (e *Engine) jobDone(hit bool) {
 }
 
 // Stats reports cache hits and misses (a miss is an executed simulation;
-// uncacheable runs count as misses).
+// uncacheable runs count as misses, footprint-twin answers as hits).
 func (e *Engine) Stats() (hits, misses uint64) {
 	return e.hits.Load(), e.misses.Load() + e.skips.Load()
 }
@@ -373,6 +380,14 @@ func (e *Engine) runSingle(j Job) *sim.Result {
 		e.jobDone(true)
 		return ent.single
 	}
+	if r := e.fromTwin(k); r != nil {
+		e.hits.Add(1)
+		ent.single = r
+		close(ent.done)
+		e.storePut(k, []*sim.Result{r})
+		e.jobDone(true)
+		return r
+	}
 	e.misses.Add(1)
 	func() {
 		// done must close even if the simulation panics, or waiters hang.
@@ -382,6 +397,37 @@ func (e *Engine) runSingle(j Job) *sim.Result {
 	e.storePut(k, []*sim.Result{ent.single})
 	e.jobDone(false)
 	return ent.single
+}
+
+// fromTwin answers a single-core footprint-off key from its footprint-on
+// twin — the same key with Footprint set — when the twin is cached or in
+// flight, waiting for an in-flight twin to finish. CollectFootprint only
+// records the four per-line maps and never feeds back into the simulation,
+// so the twin's result without those maps is exactly the footprint-off
+// result. The answer is a shallow copy sharing the twin's read-only state.
+// It returns nil when there is no twin or the twin's owner left no result;
+// the caller then simulates.
+//
+// Waiting here cannot deadlock: a footprint-on owner never calls fromTwin,
+// so it never waits on another entry.
+func (e *Engine) fromTwin(k Key) *sim.Result {
+	if k.Footprint {
+		return nil
+	}
+	k.Footprint = true
+	e.mu.Lock()
+	twin, ok := e.cache[k]
+	e.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	<-twin.done
+	if twin.single == nil {
+		return nil
+	}
+	r := *twin.single
+	r.MissL1Lines, r.MissL2Lines, r.Attempted, r.IssuedLines = nil, nil, nil, nil
+	return &r
 }
 
 // runMulti executes one multicore job through the cache tiers. The returned
@@ -443,22 +489,46 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []*sim.Result {
 		offs[i+1] = offs[i] + j.Results()
 	}
 	out := make([]*sim.Result, offs[len(jobs)])
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	e.forEach(len(jobs), func(i int) {
-		if ctx != nil && ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return
 		}
-		if j := jobs[i]; j.isMix() {
-			copy(out[offs[i]:offs[i+1]], e.runMulti(j))
-		} else {
-			out[offs[i]] = e.runSingle(j)
-		}
+		j := jobs[i]
+		pprof.Do(ctx, jobLabels(j), func(context.Context) {
+			if j.isMix() {
+				copy(out[offs[i]:offs[i+1]], e.runMulti(j))
+			} else {
+				out[offs[i]] = e.runSingle(j)
+			}
+		})
 	})
 	return out
 }
 
+// jobLabels names a job's point for CPU and goroutine profiles, so a profile
+// of a whole experiment suite splits by workload (or mix), prefetcher, core
+// count and footprint tracking.
+func jobLabels(j Job) pprof.LabelSet {
+	multi := j.isMix()
+	cfg := normalize(j.Config, multi)
+	name := j.Workload.Name
+	if multi {
+		name = j.Mix.Name
+	}
+	return pprof.Labels(
+		"workload", name,
+		"prefetcher", j.Prefetcher.Name,
+		"cores", strconv.Itoa(cfg.Cores),
+		"footprint", strconv.FormatBool(cfg.CollectFootprint))
+}
+
 // forEach applies f to 0..n-1 on the worker pool. A worker that blocks on a
 // cache entry owned by another worker makes progress as soon as the owner
-// finishes; owners never wait, so the pool cannot deadlock.
+// finishes; an owner waits only on a footprint-on twin, whose owner never
+// waits, so the pool cannot deadlock.
 func (e *Engine) forEach(n int, f func(int)) {
 	w := e.Workers()
 	if w > n {

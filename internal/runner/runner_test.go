@@ -1,7 +1,11 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"runtime"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"testing"
 
@@ -55,11 +59,203 @@ func TestDistinctKeysDistinctRuns(t *testing.T) {
 	b.Config.Seed = 2
 	c := a
 	c.Config.CollectFootprint = true
+	// Footprint off before on: the off result cannot answer the on job, so
+	// both simulate and the on result keeps its maps.
 	if runOne(e, a) == runOne(e, b) || runOne(e, a) == runOne(e, c) {
 		t.Error("different seed/footprint must not share cache slots")
 	}
 	if hits, misses := e.Stats(); misses != 3 || hits != 1 {
 		t.Errorf("hits=%d misses=%d, want 1/3", hits, misses)
+	}
+	if r := runOne(e, c); r.MissL1Lines == nil || r.Attempted == nil {
+		t.Error("footprint-on result lost its maps")
+	}
+}
+
+// encode is the store codec's bytes for one result.
+func encode(t *testing.T, r *sim.Result) string {
+	t.Helper()
+	b, err := sim.AppendResults(nil, []*sim.Result{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// withFootprint returns j with footprint collection on.
+func withFootprint(j Job) Job {
+	j.Config.CollectFootprint = true
+	return j
+}
+
+// TestFootprintTwinAnswersOff: once a footprint-on job ran, its
+// footprint-off twin is a cache hit, not a simulation, and the answer
+// encodes exactly as a fresh footprint-off simulation does — for the
+// baseline and every evaluated prefetcher.
+func TestFootprintTwinAnswersOff(t *testing.T) {
+	pfs := append([]sim.Named{sim.Baseline()}, sim.AllEvaluated()...)
+	for _, w := range []string{"stream.pure", "chase.rand", "region.hot"} {
+		e := New(WithWorkers(2))
+		var on, off []Job
+		for _, p := range pfs {
+			j := testJob(t, w, "none", 10_000)
+			j.Prefetcher = p
+			off = append(off, j)
+			on = append(on, withFootprint(j))
+		}
+		onRes := e.Run(context.Background(), on)
+		offRes := e.Run(context.Background(), off)
+		if hits, _ := e.Stats(); e.Sims() != uint64(len(pfs)) || hits != uint64(len(pfs)) {
+			t.Errorf("%s: sims=%d hits=%d, want %d/%d", w, e.Sims(), hits, len(pfs), len(pfs))
+		}
+		for i, j := range off {
+			r := offRes[i]
+			if r.MissL1Lines != nil || r.MissL2Lines != nil || r.Attempted != nil || r.IssuedLines != nil {
+				t.Errorf("%s/%s: derived footprint-off result carries footprint maps", w, j.Prefetcher.Name)
+			}
+			if onRes[i].MissL1Lines == nil {
+				t.Errorf("%s/%s: twin lost its maps", w, j.Prefetcher.Name)
+			}
+			fresh := sim.RunSingle(j.Workload, j.Prefetcher.Factory, j.Config)
+			if encode(t, r) != encode(t, fresh) {
+				t.Errorf("%s/%s: derived result differs from a fresh footprint-off run", w, j.Prefetcher.Name)
+			}
+		}
+	}
+}
+
+// TestFootprintTwinMixedBatch: on and off jobs of the same points in one
+// batch at 8 workers finish (an off owner may wait on an in-flight twin)
+// and each gets the result its own configuration simulates to.
+func TestFootprintTwinMixedBatch(t *testing.T) {
+	var jobs []Job
+	for _, w := range []string{"stream.pure", "chase.seq", "region.hot"} {
+		for _, pf := range []string{"none", "tpc", "ampm"} {
+			j := testJob(t, w, pf, 10_000)
+			jobs = append(jobs, j, withFootprint(j))
+		}
+	}
+	e := New(WithWorkers(8))
+	res := e.Run(context.Background(), jobs)
+	for i, j := range jobs {
+		want := sim.RunSingle(j.Workload, j.Prefetcher.Factory, j.Config)
+		if encode(t, res[i]) != encode(t, want) {
+			t.Errorf("job %d (%s/%s footprint=%t) diverged from a serial run",
+				i, j.Workload.Name, j.Prefetcher.Name, j.Config.CollectFootprint)
+		}
+	}
+	hits, misses := e.Stats()
+	if hits+misses != uint64(len(jobs)) || misses < uint64(len(jobs)/2) {
+		t.Errorf("hits=%d misses=%d for %d jobs over %d points", hits, misses, len(jobs), len(jobs)/2)
+	}
+}
+
+// blockingPrefetcher wraps the tpc factory so each build signals started
+// (once) and then waits for release: a job using it stays in flight until
+// the test lets it go.
+func blockingPrefetcher(t *testing.T) (p sim.Named, started, release chan struct{}) {
+	t.Helper()
+	tpc, err := sim.ByName("tpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release = make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	p = sim.Named{Name: "test:blocking", Factory: func(inst workloads.Instance) prefetch.Component {
+		once.Do(func() { close(started) })
+		<-release
+		return tpc.Factory(inst)
+	}}
+	return p, started, release
+}
+
+// TestFootprintTwinInFlight: an off job whose twin is still simulating
+// waits for it instead of simulating a second time.
+func TestFootprintTwinInFlight(t *testing.T) {
+	p, started, release := blockingPrefetcher(t)
+	off := testJob(t, "stream.pure", "none", 10_000)
+	off.Prefetcher = p
+	on := withFootprint(off)
+	e := New(WithWorkers(2))
+
+	var wg sync.WaitGroup
+	var onRes, offRes *sim.Result
+	wg.Add(2)
+	go func() { defer wg.Done(); onRes = runOne(e, on) }()
+	<-started // the twin's entry is claimed before its factory runs
+	go func() { defer wg.Done(); offRes = runOne(e, off) }()
+	// Hold the twin until the off job owns its own entry; nothing between
+	// that claim and the twin lookup blocks.
+	k, _ := KeyOf(off)
+	for {
+		e.mu.Lock()
+		_, claimed := e.cache[k]
+		e.mu.Unlock()
+		if claimed {
+			break
+		}
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+
+	if e.Sims() != 1 {
+		t.Errorf("sims=%d, want 1 (off answered from the in-flight twin)", e.Sims())
+	}
+	if offRes.Attempted != nil || onRes.Attempted == nil || offRes.Core != onRes.Core {
+		t.Error("off result is not the twin's result without its maps")
+	}
+}
+
+// TestFootprintTwinNilFallsBack: a twin entry whose owner left no result
+// (its simulation panicked) is not an answer; the off job simulates.
+func TestFootprintTwinNilFallsBack(t *testing.T) {
+	e := New(WithWorkers(1))
+	off := testJob(t, "stream.pure", "tpc", 10_000)
+	k, _ := KeyOf(withFootprint(off))
+	dead := &entry{done: make(chan struct{})}
+	close(dead.done)
+	e.cache[k] = dead
+
+	if r := runOne(e, off); r == nil || r.Core.Insts != off.Config.Insts {
+		t.Fatalf("off job returned %v, want a simulated result", r)
+	}
+	if hits, misses := e.Stats(); hits != 0 || misses != 1 {
+		t.Errorf("hits=%d misses=%d, want 0/1", hits, misses)
+	}
+}
+
+// TestRunLabelsJobs: every job runs under pprof labels naming its point, so
+// CPU and goroutine profiles of a whole suite split by job.
+func TestRunLabelsJobs(t *testing.T) {
+	p, started, release := blockingPrefetcher(t)
+	j := withFootprint(testJob(t, "stream.pure", "none", 10_000))
+	j.Prefetcher = p
+	e := New(WithWorkers(1))
+	done := make(chan struct{})
+	go func() { defer close(done); runOne(e, j) }()
+	<-started
+
+	var buf bytes.Buffer
+	err := pprof.Lookup("goroutine").WriteTo(&buf, 1)
+	close(release)
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	var labels string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "# labels:") && strings.Contains(line, `"prefetcher":"test:blocking"`) {
+			labels = line
+		}
+	}
+	if labels == "" {
+		t.Fatalf("no goroutine carries the blocked job's labels:\n%s", buf.String())
+	}
+	for _, want := range []string{`"workload":"stream.pure"`, `"cores":"1"`, `"footprint":"true"`} {
+		if !strings.Contains(labels, want) {
+			t.Errorf("labels %s lack %s", labels, want)
+		}
 	}
 }
 

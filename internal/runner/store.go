@@ -24,7 +24,8 @@ import (
 type StoreStats struct {
 	// Hits are jobs answered from the store without simulating.
 	Hits uint64
-	// Puts are freshly simulated results persisted to the store.
+	// Puts are results persisted to the store: simulated ones and
+	// footprint-off answers taken from a footprint-on twin.
 	Puts uint64
 	// Errs are store operations that failed (corrupt record, mismatched
 	// envelope, undecodable payload, write failure). Each was absorbed by
@@ -53,7 +54,7 @@ func (e *Engine) StoreStats() StoreStats {
 }
 
 // Sims reports the number of simulations actually executed (cache misses
-// plus uncacheable runs; store hits excluded).
+// plus uncacheable runs; store hits and twin answers excluded).
 func (e *Engine) Sims() uint64 { return e.misses.Load() + e.skips.Load() }
 
 // Jobs reports the total number of jobs the engine has completed.
@@ -103,7 +104,7 @@ func (e *Engine) storeGet(k Key, want int) ([]*sim.Result, bool) {
 	return rs, true
 }
 
-// storePut persists freshly simulated results under k. Called after the
+// storePut persists results computed for k in this process. Called after the
 // cache entry's done channel is closed, so in-process waiters never block on
 // disk I/O.
 func (e *Engine) storePut(k Key, rs []*sim.Result) {

@@ -105,6 +105,59 @@ func TestStoreReadThroughWriteBehind(t *testing.T) {
 	}
 }
 
+// TestStoreFootprintTwin: an off job answered from its footprint-on twin is
+// persisted like a simulated one, with the bytes a fresh engine simulating
+// it writes; and an off record already in the store is read, not derived
+// and re-put.
+func TestStoreFootprintTwin(t *testing.T) {
+	off := testJob(t, "chase.seq", "tpc", 15_000)
+	on := withFootprint(off)
+	koff, _ := KeyOf(off)
+	kon, _ := KeyOf(on)
+
+	st := store.NewMem()
+	e := New(WithStore(st))
+	runOne(e, on)
+	runOne(e, off)
+	if s := e.StoreStats(); s.Puts != 2 || s.Hits != 0 || s.Errs != 0 || e.Sims() != 1 {
+		t.Errorf("on then off: stats %+v sims=%d, want 2 puts / 1 sim", s, e.Sims())
+	}
+
+	ref := store.NewMem()
+	runOne(New(WithStore(ref)), off)
+	got, err := st.Get(koff.Digest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Get(koff.Digest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb, err := store.Encode(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wb, err := store.Encode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(gb) != string(wb) {
+		t.Error("derived off record differs from a simulated one")
+	}
+
+	// ref holds only the off record: the twin check comes after the store
+	// read, so the off job is one store hit and writes nothing.
+	warm := New(WithStore(ref))
+	runOne(warm, on)
+	runOne(warm, off)
+	if s := warm.StoreStats(); s.Hits != 1 || s.Puts != 1 || s.Errs != 0 {
+		t.Errorf("off already stored: stats %+v, want 1 hit / 1 put (the on record)", s)
+	}
+	if _, err := ref.Get(kon.Digest()); err != nil {
+		t.Errorf("on record not persisted: %v", err)
+	}
+}
+
 // TestStoreCorruptRecordFallsBack: a corrupt record is an absorbed error —
 // the engine re-simulates and overwrites it with a good one.
 func TestStoreCorruptRecordFallsBack(t *testing.T) {
