@@ -1,8 +1,10 @@
 // Package cache implements the set-associative caches of the simulated
 // hierarchy: LRU replacement, MSHRs with secondary-miss merging, per-line
 // prefetch tags (owner identity and readiness timestamps for timeliness
-// modelling), and shadow "alternate reality" tag arrays used to account for
-// prefetch-induced pollution as described in Sec. V-C of the paper.
+// modelling), and shadow "alternate reality" tag arrays. Shadow is the
+// paper's Sec. V-C pollution mechanism, but the simulator charges pollution
+// through paired baseline runs; Shadow's only caller is the demand-only
+// reference model the hierarchy is tested against.
 package cache
 
 import "fmt"
@@ -66,10 +68,10 @@ const (
 	flagDirty
 	flagPrefetched // installed by a prefetch and not yet demanded
 
-	metaFlagMask  uint64 = 1<<metaOwnerShift - 1
-	metaOwnerShift       = 3
-	metaUseShift         = 19
-	metaOwnerMask uint64 = 1<<(metaUseShift-metaOwnerShift) - 1
+	metaFlagMask   uint64 = 1<<metaOwnerShift - 1
+	metaOwnerShift        = 3
+	metaUseShift          = 19
+	metaOwnerMask  uint64 = 1<<(metaUseShift-metaOwnerShift) - 1
 )
 
 // metaWord assembles a packed metadata word.
@@ -111,7 +113,7 @@ type Cache struct {
 	// staleness is harmless): spatial streams touch the same line for
 	// several consecutive accesses, and the predictor turns those resident
 	// scans into a single tag compare.
-	mru     []uint8
+	mru []uint8
 	// absent memoizes proven misses: absent[absentHash(L)] == L means a
 	// full set scan found L not resident, and evictions only remove lines,
 	// so absence persists until a Fill of L clobbers the slot. Miss-heavy
@@ -314,16 +316,6 @@ func (c *Cache) MarkDirty(lineAddr Line) {
 	if i := c.find(lineAddr); i >= 0 {
 		c.meta[i] |= flagDirty
 	}
-}
-
-// Invalidate removes lineAddr if resident and returns whether it was dirty.
-func (c *Cache) Invalidate(lineAddr Line) (present, dirty bool) {
-	if i := c.find(lineAddr); i >= 0 {
-		dirty = c.meta[i]&flagDirty != 0
-		c.clearWay(i)
-		return true, dirty
-	}
-	return false, false
 }
 
 // clearWay resets one way-store slot to its empty state.

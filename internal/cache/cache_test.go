@@ -114,23 +114,6 @@ func TestRefillKeepsEarlierReadiness(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(testConfig())
-	c.Fill(0x80, 0, false, NoOwner)
-	c.MarkDirty(0x80)
-	present, dirty := c.Invalidate(0x80)
-	if !present || !dirty {
-		t.Errorf("Invalidate = %v,%v", present, dirty)
-	}
-	if c.Contains(0x80) {
-		t.Error("line still present after invalidate")
-	}
-	present, _ = c.Invalidate(0x80)
-	if present {
-		t.Error("double invalidate must report absent")
-	}
-}
-
 func TestTouchRefreshesLRU(t *testing.T) {
 	cfg := Config{Name: "tiny", SizeBytes: 2 * 64, Ways: 2, LatCycles: 1, MSHRs: 2}
 	c := New(cfg)

@@ -5,7 +5,9 @@ package cache
 // Comparing the two answers "would this access have hit had no prefetch ever
 // been issued?" — the mechanism Sec. V-C uses to attribute prefetch-induced
 // (pollution) misses and to assign negative credit to resident prefetched
-// lines.
+// lines. No experiment uses it that way: effective accuracy charges
+// pollution through paired baseline runs, and Shadow's only caller is the
+// demand-only reference model in internal/mem's tests.
 type Shadow struct {
 	sets    [][]shadowLine
 	setMask uint64

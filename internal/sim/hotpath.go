@@ -2,7 +2,6 @@ package sim
 
 import (
 	"divlab/internal/mem"
-	"divlab/internal/prefetch"
 	"divlab/internal/trace"
 	"divlab/internal/workloads"
 )
@@ -29,16 +28,7 @@ func NewHotPath(w workloads.Workload, factory Factory, cfg Config) *HotPath {
 	inst := w.New(cfg.Seed)
 	sys := mem.NewSystem(mem.DefaultConfig(1), cfg.DropPolicy, cfg.Seed)
 	hier := mem.NewHierarchy(mem.DefaultConfig(1), sys)
-
-	var comp prefetch.Component
-	names := map[int]string{}
-	if factory != nil {
-		comp = factory(inst)
-		names = prefetch.AssignIDs(comp, 1)
-	}
-	res := newResult(cfg, names)
-	attachLifecycle(cfg, hier, res, names)
-	return &HotPath{r: newRunner(cfg, inst, hier, comp, res), sys: sys}
+	return &HotPath{r: newRunner(cfg, inst, hier, factory), sys: sys}
 }
 
 // Access performs one demand access at the internal clock, advances the
@@ -58,5 +48,8 @@ func (h *HotPath) OnInst(in *trace.Inst) {
 	h.r.hook(in, h.at)
 }
 
-// Result exposes the accumulating measurements (read-only).
+// Result exposes the accumulating measurements (read-only). A HotPath never
+// ends a run, so its footprint maps stay nil even with CollectFootprint set:
+// the footprints accumulate in the runner's line tables, which only the end
+// of a run publishes.
 func (h *HotPath) Result() *Result { return h.r.res }

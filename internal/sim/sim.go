@@ -31,7 +31,8 @@ type Config struct {
 	// DropPolicy selects the memory controller's overflow behaviour.
 	DropPolicy dram.DropPolicy
 	// CollectFootprint enables the per-line miss and prefetch maps needed
-	// for scope metrics (costs memory; off for plain speedup runs).
+	// for scope metrics (costs memory; off for plain speedup runs). The run
+	// accumulates them in line tables and publishes the maps when it ends.
 	CollectFootprint bool
 	// DestOverride, when non-nil, remaps each prefetch's destination based
 	// on the target's ground-truth category (the Fig. 16 oracle study).
@@ -198,6 +199,9 @@ type runner struct {
 	pfBatch prefetch.BatchComponent
 	pfInstB prefetch.BatchInstObserver
 	res     *Result
+	// fp accumulates the per-line footprints; nil unless
+	// Config.CollectFootprint. finish publishes it into res.
+	fp *footprint
 	// evs is the reusable demand-event buffer handed to OnAccess (as a
 	// length-1 batch); taking the address of a stack copy would force a heap
 	// escape per access.
@@ -214,8 +218,23 @@ type runner struct {
 	catOK   bool
 }
 
-func newRunner(cfg Config, inst workloads.Instance, hier *mem.Hierarchy, pf prefetch.Component, res *Result) *runner {
+// newRunner builds one core's runner over inst and hier: the prefetcher
+// under test from factory (nil for the no-prefetch baseline) with assigned
+// component ids, a fresh Result, and the lifecycle tracker when the config
+// asks for one.
+func newRunner(cfg Config, inst workloads.Instance, hier *mem.Hierarchy, factory Factory) *runner {
+	var pf prefetch.Component
+	names := map[int]string{}
+	if factory != nil {
+		pf = factory(inst)
+		names = prefetch.AssignIDs(pf, 1)
+	}
+	res := newResult(names)
+	attachLifecycle(cfg, hier, res, names)
 	r := &runner{cfg: cfg, inst: inst, hier: hier, pf: pf, res: res}
+	if cfg.CollectFootprint {
+		r.fp = &footprint{}
+	}
 	r.sink.Init(r)
 	if o, ok := pf.(prefetch.InstObserver); ok {
 		r.pfInst = o
@@ -249,9 +268,8 @@ func (r *runner) Access(pc, addr uint64, at uint64, store bool) uint64 {
 	if ev.MissL1 {
 		res.L1Misses++
 		res.CatL1Misses[cat]++
-		if res.MissL1Lines != nil {
-			//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
-			res.MissL1Lines[ev.LineAddr]++
+		if r.fp != nil {
+			*r.fp.missL1.at(ev.LineAddr)++
 		}
 	}
 	if ev.Secondary {
@@ -260,9 +278,8 @@ func (r *runner) Access(pc, addr uint64, at uint64, store bool) uint64 {
 	if ev.MissL2 {
 		res.L2Misses++
 		res.CatL2Misses[cat]++
-		if res.MissL2Lines != nil {
-			//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
-			res.MissL2Lines[ev.LineAddr]++
+		if r.fp != nil {
+			*r.fp.missL2.at(ev.LineAddr)++
 		}
 	}
 	if r.pf != nil {
@@ -318,9 +335,8 @@ func (r *runner) drainSink() {
 		if r.cfg.DestOverride != nil {
 			dest = r.cfg.DestOverride(req, r.inst.Classify(req.LineAddr))
 		}
-		if res.Attempted != nil {
-			//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
-			res.Attempted[req.LineAddr] |= 1 << res.slot(req.Owner)
+		if r.fp != nil {
+			*r.fp.attempted.at(req.LineAddr) |= 1 << res.slot(req.Owner)
 		}
 		if r.hier.Prefetch(req.LineAddr, dest, req.Owner, req.Priority, at) {
 			// Classification is pure, so deduped and dropped requests —
@@ -328,9 +344,8 @@ func (r *runner) drainSink() {
 			cat := r.inst.Classify(req.LineAddr)
 			res.Issued++
 			res.IssuedDest[dest]++
-			if res.IssuedLines != nil {
-				//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
-				res.IssuedLines[req.LineAddr]++
+			if r.fp != nil {
+				*r.fp.issued.at(req.LineAddr)++
 			}
 			res.CatIssued[cat]++
 			if dest == mem.L1 {
@@ -349,8 +364,13 @@ func (r *runner) drainSink() {
 // window sink carries instruction batches when an instruction observer is
 // present, and the scalar hook stays installed for non-batch sources. With
 // no instruction observer neither is set, so the core pays nothing per
-// instruction for dispatch-time snooping.
-func newCore(params cpu.Params, r *runner) *cpu.Core {
+// instruction for dispatch-time snooping. Each core gets its own branch
+// predictor when the config asks for one.
+func newCore(r *runner) *cpu.Core {
+	params := r.cfg.CoreParams
+	if r.cfg.UseBPred {
+		params.Pred = bpred.New()
+	}
 	var hook cpu.InstHook
 	if r.pfInst != nil {
 		hook = r.hook
@@ -373,7 +393,7 @@ func (r *Result) slot(owner int) uint {
 	return uint(r.ownerSlots[owner])
 }
 
-func newResult(cfg Config, names map[int]string) *Result {
+func newResult(names map[int]string) *Result {
 	res := &Result{Names: names}
 	// Deterministic slot assignment by id order. Component ids are
 	// contiguous from 1 (prefetch.AssignIDs), but tolerate gaps: the dense
@@ -394,12 +414,6 @@ func newResult(cfg Config, names map[int]string) *Result {
 			slot++
 		}
 	}
-	if cfg.CollectFootprint {
-		res.MissL1Lines = make(map[mem.Line]uint32, 1<<14)
-		res.MissL2Lines = make(map[mem.Line]uint32, 1<<14)
-		res.Attempted = make(map[mem.Line]uint32, 1<<14)
-		res.IssuedLines = make(map[mem.Line]uint32, 1<<14)
-	}
 	return res
 }
 
@@ -416,12 +430,29 @@ func attachLifecycle(cfg Config, hier *mem.Hierarchy, res *Result, names map[int
 	res.Lifecycle = lc
 }
 
-// closeLifecycle resolves still-open occurrences as resident-untouched once
-// the run is over.
-func closeLifecycle(res *Result) {
+// finish ends one core's run: it records the core's result and the
+// hierarchy and memory-system counters, resolves still-open lifecycle
+// occurrences as resident-untouched, and publishes the footprints. Traffic,
+// drops and DRAM counters are system-wide; a multicore run attributes the
+// total to each core's result so suite aggregation normalizes consistently.
+func (r *runner) finish(core cpu.Result, sys *mem.System) *Result {
+	res := r.res
+	res.Core = core
 	if res.Lifecycle != nil {
 		res.Lifecycle.CloseResident(res.Core.Cycles)
 	}
+	res.Traffic = sys.Mem.Stats.Lines()
+	res.Issued = r.hier.Stats.PrefetchesIssued
+	res.Filtered = r.hier.Stats.PrefetchesFiltered
+	res.Dropped = sys.Mem.Stats.DroppedPrefetches
+	res.L1Stats = r.hier.L1D.Stats
+	res.L2Stats = r.hier.L2.Stats
+	res.DRAM = sys.Mem.Stats
+	if r.fp != nil {
+		r.fp.publish(res)
+		r.fp = nil
+	}
+	return res
 }
 
 // RunSingle executes one workload on one core with the given prefetcher
@@ -444,35 +475,8 @@ func RunSingleOn(inst workloads.Instance, w workloads.Workload, factory Factory,
 		inst = w.New(cfg.Seed)
 	}
 	sys := mem.NewSystem(mem.DefaultConfig(1), cfg.DropPolicy, cfg.Seed)
-	hier := mem.NewHierarchy(mem.DefaultConfig(1), sys)
-
-	var comp prefetch.Component
-	names := map[int]string{}
-	if factory != nil {
-		comp = factory(inst)
-		names = prefetch.AssignIDs(comp, 1)
-	}
-	res := newResult(cfg, names)
-	attachLifecycle(cfg, hier, res, names)
-	r := newRunner(cfg, inst, hier, comp, res)
-
-	params := cfg.CoreParams
-	if cfg.UseBPred {
-		params.Pred = bpred.New()
-	}
-	core := newCore(params, r)
-	src := &trace.Limit{Src: inst, N: cfg.Insts}
-	res.Core = core.Run(src)
-	closeLifecycle(res)
-
-	res.Traffic = sys.Mem.Stats.Lines()
-	res.Issued = hier.Stats.PrefetchesIssued
-	res.Filtered = hier.Stats.PrefetchesFiltered
-	res.Dropped = sys.Mem.Stats.DroppedPrefetches
-	res.L1Stats = hier.L1D.Stats
-	res.L2Stats = hier.L2.Stats
-	res.DRAM = sys.Mem.Stats
-	return res
+	r := newRunner(cfg, inst, mem.NewHierarchy(mem.DefaultConfig(1), sys), factory)
+	return r.finish(newCore(r).Run(&trace.Limit{Src: inst, N: cfg.Insts}), sys)
 }
 
 // RunMulti executes a 4-app mix on `cores` cores sharing L3 and DRAM; each
@@ -506,7 +510,6 @@ func RunMultiOn(insts []workloads.Instance, mix workloads.Mix, factory Factory, 
 		done bool
 	}
 	states := make([]*coreState, cores)
-	results := make([]*Result, cores)
 	for i := 0; i < cores; i++ {
 		var inst workloads.Instance
 		if i < len(insts) {
@@ -515,26 +518,12 @@ func RunMultiOn(insts []workloads.Instance, mix workloads.Mix, factory Factory, 
 		if inst == nil {
 			inst = mix.Apps[i].New(MixSeed(cfg, i))
 		}
-		hier := mem.NewHierarchy(mem.DefaultConfig(cores), sys)
-		var comp prefetch.Component
-		names := map[int]string{}
-		if factory != nil {
-			comp = factory(inst)
-			names = prefetch.AssignIDs(comp, 1)
-		}
-		res := newResult(cfg, names)
-		attachLifecycle(cfg, hier, res, names)
-		r := newRunner(cfg, inst, hier, comp, res)
-		params := cfg.CoreParams
-		if cfg.UseBPred {
-			params.Pred = bpred.New()
-		}
+		r := newRunner(cfg, inst, mem.NewHierarchy(mem.DefaultConfig(cores), sys), factory)
 		states[i] = &coreState{
 			r:    r,
-			core: newCore(params, r),
+			core: newCore(r),
 			src:  &trace.Limit{Src: inst, N: cfg.Insts},
 		}
-		results[i] = res
 	}
 
 	// Advance the core that is furthest behind in simulated time so shared
@@ -569,20 +558,9 @@ func RunMultiOn(insts []workloads.Instance, mix workloads.Mix, factory Factory, 
 		}
 	}
 
+	results := make([]*Result, cores)
 	for i, st := range states {
-		results[i].Core = st.core.Result()
-		closeLifecycle(results[i])
-		results[i].Issued = st.r.hier.Stats.PrefetchesIssued
-		results[i].Filtered = st.r.hier.Stats.PrefetchesFiltered
-		results[i].L1Stats = st.r.hier.L1D.Stats
-		results[i].L2Stats = st.r.hier.L2.Stats
-	}
-	// Shared traffic is system-wide; attribute the total to each result so
-	// suite aggregation can normalize consistently.
-	for i := range results {
-		results[i].Traffic = sys.Mem.Stats.Lines()
-		results[i].Dropped = sys.Mem.Stats.DroppedPrefetches
-		results[i].DRAM = sys.Mem.Stats
+		results[i] = st.r.finish(st.core.Result(), sys)
 	}
 	return results
 }
@@ -595,8 +573,8 @@ type traceInstance struct {
 	ft *trace.FileTrace
 }
 
-func (t *traceInstance) Next(in *trace.Inst) bool           { return t.ft.Next(in) }
-func (t *traceInstance) Memory() vmem.Memory                { return t.ft.Memory }
+func (t *traceInstance) Next(in *trace.Inst) bool               { return t.ft.Next(in) }
+func (t *traceInstance) Memory() vmem.Memory                    { return t.ft.Memory }
 func (t *traceInstance) Classify(cache.Line) workloads.Category { return workloads.HHF }
 
 // RunTrace replays a captured trace file on one core with the given
@@ -609,34 +587,10 @@ func RunTrace(ft *trace.FileTrace, factory Factory, cfg Config) *Result {
 	}
 	inst := &traceInstance{ft: ft}
 	sys := mem.NewSystem(mem.DefaultConfig(1), cfg.DropPolicy, cfg.Seed)
-	hier := mem.NewHierarchy(mem.DefaultConfig(1), sys)
-
-	var comp prefetch.Component
-	names := map[int]string{}
-	if factory != nil {
-		comp = factory(inst)
-		names = prefetch.AssignIDs(comp, 1)
-	}
-	res := newResult(cfg, names)
-	attachLifecycle(cfg, hier, res, names)
-	r := newRunner(cfg, inst, hier, comp, res)
-	params := cfg.CoreParams
-	if cfg.UseBPred {
-		params.Pred = bpred.New()
-	}
-	core := newCore(params, r)
+	r := newRunner(cfg, inst, mem.NewHierarchy(mem.DefaultConfig(1), sys), factory)
 	n := cfg.Insts
 	if n == 0 || n > uint64(len(ft.Insts)) {
 		n = uint64(len(ft.Insts))
 	}
-	res.Core = core.Run(&trace.Limit{Src: inst, N: n})
-	closeLifecycle(res)
-	res.Traffic = sys.Mem.Stats.Lines()
-	res.Issued = hier.Stats.PrefetchesIssued
-	res.Filtered = hier.Stats.PrefetchesFiltered
-	res.Dropped = sys.Mem.Stats.DroppedPrefetches
-	res.L1Stats = hier.L1D.Stats
-	res.L2Stats = hier.L2.Stats
-	res.DRAM = sys.Mem.Stats
-	return res
+	return r.finish(newCore(r).Run(&trace.Limit{Src: inst, N: n}), sys)
 }
